@@ -50,7 +50,7 @@ fmt-check:
 
 # Everything CI runs, in order: formatting, static checks, build,
 # race-enabled tests, a full (non-short) race pass over the
-# concurrency-heavy packages (sharded kernels, serve engine incl. hot swap,
+# concurrency-heavy packages (kernels and batch search, serve engine incl. hot swap,
 # the scatter-gather replica fleet incl. its chaos soak, robustness stack,
 # snapshot store and registry), the train-while-serve learner (striped
 # ingest, phased reconcile, offline bit-identity) including its
@@ -67,7 +67,8 @@ fmt-check:
 # serve-path benchmark smoke so the engine can't silently rot, a fuzz
 # smoke over the network frame decoder, the network-serving smoke
 # (hamserve booted on loopback, hamload over both wire protocols, SIGTERM
-# drain with every accepted request answered), and the remote-fleet smoke
+# drain with every accepted request answered, then the same across a
+# hamserve -load DIR hot swap to a second snapshot), and the remote-fleet smoke
 # (a coordinator scatter-gathering over TCP to real hamserve -replica
 # subprocesses, one SIGKILLed mid-stream, every request still answered
 # with the lost partition certified as degraded coverage). The 'Chaos|

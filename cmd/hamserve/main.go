@@ -5,6 +5,15 @@
 // corpus; requests flow through the micro-batching serve engine (or a
 // scatter-gather fleet with -fleet).
 //
+// When -load names a directory, hamserve serves the newest valid snapshot
+// in it and keeps watching: each later snapshot published there (atomic
+// rename, as langid -save and the learner write them) is validated and
+// hot-swapped into the engine, or rolled through the whole fleet with
+// -fleet, with zero downtime. Startup fails if the directory holds no valid
+// snapshot. Hot reload serves a whole local model, so it cannot combine
+// with -learn (which owns its own generation directory), -replica or
+// -remote.
+//
 // On SIGINT/SIGTERM the server drains: listeners close, connected clients
 // are told to stop submitting, and every accepted request is answered —
 // classified within the drain deadline, failed fast as drained after.
@@ -13,6 +22,7 @@
 //
 //	hamserve                              # train, serve on the default ports
 //	hamserve -load model.ham              # serve a snapshot
+//	hamserve -load models/                # serve the newest snapshot, hot-swapping later ones
 //	hamserve -listen :0 -http :0          # ephemeral ports (printed on stdout)
 //	hamserve -fleet 4                     # serve through a replica fleet
 //	hamserve -learn -learn-dir models/    # accept labeled examples while serving
@@ -41,6 +51,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -56,7 +67,7 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7401", "binary-protocol listen address (empty to disable)")
 	httpAddr := flag.String("http", "127.0.0.1:7402", "HTTP/JSON listen address (empty to disable)")
-	load := flag.String("load", "", "serve this model snapshot instead of training")
+	load := flag.String("load", "", "serve this model snapshot instead of training; a directory serves its newest snapshot and hot-swaps later ones")
 	dim := flag.Int("dim", hdam.Dim, "hypervector dimensionality (training only)")
 	train := flag.Int("train", 50_000, "training characters per language (training only)")
 	seed := flag.Uint64("seed", 2017, "pipeline seed")
@@ -86,6 +97,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hamserve: -learn serves a whole-model engine; it cannot combine with -fleet, -replica or -remote (fleet coordinators refuse learn traffic)")
 		os.Exit(2)
 	}
+	watch := false
+	if *load != "" {
+		if fi, err := os.Stat(*load); err == nil && fi.IsDir() {
+			watch = true
+		}
+	}
+	if watch && (*learnOn || *replica || *remote != "") {
+		fmt.Fprintln(os.Stderr, "hamserve: -load DIR hot-swaps a whole local model; it cannot combine with -learn, -replica or -remote")
+		os.Exit(2)
+	}
 
 	var pol hdam.ServePolicy
 	switch *policy {
@@ -100,7 +121,52 @@ func main() {
 		os.Exit(2)
 	}
 
-	tr, err := model(*load, *dim, *train, *seed)
+	// swap installs a later snapshot into whatever serves; it is set once
+	// the engine or fleet exists, before any registry can call it again.
+	var swap func(*hdam.Snapshot) error
+	var reg *hdam.ModelRegistry
+	var snap *hdam.Snapshot
+	var err error
+	switch {
+	case watch:
+		reg, err = hdam.NewModelRegistry(hdam.ModelRegistryConfig{
+			Dir:      *load,
+			Interval: time.Second,
+			Swap: func(s *hdam.Snapshot) error {
+				if swap == nil {
+					snap = s
+					return nil
+				}
+				return swap(s)
+			},
+			OnEvent: func(ev hdam.RegistryEvent) {
+				if ev.Err != nil {
+					fmt.Fprintf(os.Stderr, "hamserve: %s %s: %v\n", ev.Kind, ev.Path, ev.Err)
+					return
+				}
+				fmt.Fprintf(os.Stderr, "hamserve: serving %s\n", ev.Path)
+			},
+		})
+		if err == nil {
+			_, err = reg.Check()
+		}
+		if err == nil && snap == nil {
+			err = errors.New("no valid snapshot")
+		}
+	case *load != "":
+		snap, err = hdam.OpenSnapshot(*load)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hamserve: loading %s: %v\n", *load, err)
+		os.Exit(1)
+	}
+	if snap != nil && (*fleetN > 0 || *replica || *remote != "") {
+		if err := scanRows(snap); err != nil {
+			fmt.Fprintf(os.Stderr, "hamserve: %s: %v\n", *load, err)
+			os.Exit(1)
+		}
+	}
+	tr, searcher, err := model(snap, *load, *dim, *train, *seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
 		os.Exit(1)
@@ -115,7 +181,6 @@ func main() {
 	}
 	var srv *hdam.NetServer
 	var learner *hdam.Learner
-	var learnReg *hdam.ModelRegistry
 	switch {
 	case *replica && *remote != "":
 		fmt.Fprintln(os.Stderr, "hamserve: -replica and -remote are mutually exclusive")
@@ -180,13 +245,26 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
 			os.Exit(1)
 		}
+		// Replicas keep the encoder they were built with, so a later
+		// snapshot must share its pipeline config.
+		swap = func(s *hdam.Snapshot) error {
+			if err := scanRows(s); err != nil {
+				return err
+			}
+			if cfg := s.Config(); cfg.NGram != tr.Params.NGram || cfg.Seed != tr.Params.Seed {
+				return fmt.Errorf("fleet encoders are ngram=%d seed=%d, snapshot is ngram=%d seed=%d",
+					tr.Params.NGram, tr.Params.Seed, cfg.NGram, cfg.Seed)
+			}
+			_, err := fl.Swap(s.Memory())
+			return err
+		}
 		srv, err = hdam.ServeFleet(fl, netCfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
 			os.Exit(1)
 		}
 	default:
-		eng, err := hdam.NewEngine(tr, hdam.NewExactSearcher(tr.Memory), hdam.ServeConfig{
+		eng, err := hdam.NewEngine(tr, searcher, hdam.ServeConfig{
 			Workers:  *workers,
 			MaxBatch: *batch,
 			Queue:    *queue,
@@ -196,6 +274,14 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
 			os.Exit(1)
+		}
+		swap = func(snap *hdam.Snapshot) error {
+			m, s, err := hdam.SnapshotModel(snap)
+			if err != nil {
+				return err
+			}
+			_, err = eng.Swap(m, s, hdam.SnapshotEncoderFactory(snap.Config()))
+			return err
 		}
 		if *learnOn {
 			dir := *learnDir
@@ -208,17 +294,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
 				os.Exit(1)
 			}
-			reg, err := hdam.NewModelRegistry(hdam.ModelRegistryConfig{
-				Dir: dir,
-				Swap: func(snap *hdam.Snapshot) error {
-					m, s, err := hdam.SnapshotModel(snap)
-					if err != nil {
-						return err
-					}
-					_, err = eng.Swap(m, s, hdam.SnapshotEncoderFactory(snap.Config()))
-					return err
-				},
-			})
+			reg, err = hdam.NewModelRegistry(hdam.ModelRegistryConfig{Dir: dir, Swap: swap})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
 				os.Exit(1)
@@ -247,7 +323,7 @@ func main() {
 			go lr.Run(context.Background())
 			fmt.Fprintf(os.Stderr, "hamserve: learning into %s (interval %s, %d centroid(s)/class)\n",
 				dir, *learnInterval, *learnCentroids)
-			learner, learnReg = lr, reg
+			learner = lr
 			srv, err = hdam.ServeLearningEngine(eng, lr, netCfg)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
@@ -260,6 +336,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hamserve: %v\n", err)
 			os.Exit(1)
 		}
+	}
+
+	if watch {
+		go reg.Run(context.Background())
 	}
 
 	if a := srv.BinaryAddr(); a != nil {
@@ -290,7 +370,9 @@ func main() {
 				rep.Gen, rep.Classes, rep.NewExamples, rep.Path)
 		}
 		learner.Close()
-		learnReg.Close()
+	}
+	if reg != nil {
+		reg.Close()
 	}
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr,
@@ -298,20 +380,17 @@ func main() {
 		st.Accepted, st.RejectedConns, st.Frames, st.Queries, st.Answered, st.HTTPRequests)
 }
 
-// model loads a snapshot or trains the language pipeline fresh.
-func model(load string, dim, train int, seed uint64) (*hdam.Trained, error) {
-	if load != "" {
-		snap, err := hdam.OpenSnapshot(load)
+// model builds the served pipeline from the snapshot loaded from load, or
+// trains it fresh when snap is nil.
+func model(snap *hdam.Snapshot, load string, dim, train int, seed uint64) (*hdam.Trained, hdam.Searcher, error) {
+	if snap != nil {
+		tr, s, err := hdam.SnapshotPipeline(snap)
 		if err != nil {
-			return nil, fmt.Errorf("loading %s: %w", load, err)
+			return nil, nil, err
 		}
-		cfg := snap.Config()
 		fmt.Fprintf(os.Stderr, "hamserve: loaded %s: %d classes at D=%d (zero-copy=%v)\n",
-			load, snap.Memory().Classes(), cfg.Dim, snap.ZeroCopy())
-		p := hdam.DefaultLanguageParams()
-		p.Dim, p.NGram, p.Seed = cfg.Dim, cfg.NGram, cfg.Seed
-		p.TestPerLang = 1
-		return rebuildTrained(snap.Memory(), p), nil
+			load, tr.Memory.Classes(), tr.Params.Dim, snap.ZeroCopy())
+		return tr, s, nil
 	}
 	p := hdam.DefaultLanguageParams()
 	p.Dim = dim
@@ -324,17 +403,18 @@ func model(load string, dim, train int, seed uint64) (*hdam.Trained, error) {
 	start := time.Now()
 	tr, err := hdam.TrainLanguages(langs, p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fmt.Fprintf(os.Stderr, "hamserve: trained in %s\n", time.Since(start).Round(time.Millisecond))
-	return tr, nil
+	return tr, hdam.NewExactSearcher(tr.Memory), nil
 }
 
-// rebuildTrained reconstructs the encoder half of a pipeline around a
-// loaded memory; item memories are deterministic in the seed, so the
-// encoder matches the one that produced the saved prototypes.
-func rebuildTrained(mem *hdam.Memory, p hdam.LanguageParams) *hdam.Trained {
-	im := hdam.NewItemMemory(p.Dim, p.Seed)
-	im.Preload(hdam.LatinAlphabet)
-	return &hdam.Trained{Memory: mem, Encoder: hdam.NewEncoder(im, p.NGram), Params: p}
+// scanRows refuses a multi-centroid snapshot on the paths that partition
+// or scan its raw class rows (-fleet, -replica, -remote): they would
+// answer with centroid labels like "german#0".
+func scanRows(snap *hdam.Snapshot) error {
+	if k := snap.Config().Centroids; k > 1 {
+		return fmt.Errorf("a %d-centroid snapshot serves only through the engine (-fleet, -replica and -remote scan raw rows)", k)
+	}
+	return nil
 }

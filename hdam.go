@@ -318,10 +318,6 @@ func SearchAllWorkers(s Searcher, queries []*Vector, workers int) []Result {
 	return core.SearchAllWorkers(s, queries, workers)
 }
 
-// ShardedMatrix is the word-range-sharded parallel distance kernel (see
-// internal/core); obtain one via Memory.WithSharding.
-type ShardedMatrix = core.ShardedMatrix
-
 // ServeConfig tunes the micro-batching policy and worker pool of an Engine.
 type ServeConfig = serve.Config
 
@@ -486,13 +482,6 @@ func SnapshotEncoderFactory(cfg SnapshotConfig) func() *Encoder {
 	}
 }
 
-// NewSnapshotEngine builds a serving engine directly over a loaded
-// snapshot, with the encoder pipeline rebuilt from the snapshot's own
-// config. Swap later models in with Engine.Swap.
-func NewSnapshotEngine(snap *Snapshot, s Searcher, cfg ServeConfig) (*Engine, error) {
-	return serve.New(snap.Memory(), s, SnapshotEncoderFactory(snap.Config()), cfg)
-}
-
 // ---- Scatter-gather replica fleet ----
 
 // Fleet is the fault-tolerant scatter-gather coordinator: the class matrix
@@ -554,13 +543,6 @@ func NewFleet(tr *Trained, cfg FleetConfig) (*Fleet, error) {
 		im.Preload(itemmem.LatinAlphabet)
 		return encoder.New(im, p.NGram)
 	}, cfg)
-}
-
-// NewSnapshotFleet builds a replica fleet directly over a loaded snapshot,
-// with the encoder pipeline rebuilt from the snapshot's own config. Roll
-// later models in with Fleet.Swap.
-func NewSnapshotFleet(snap *Snapshot, cfg FleetConfig) (*Fleet, error) {
-	return fleet.New(snap.Memory(), SnapshotEncoderFactory(snap.Config()), cfg)
 }
 
 // ReplicaInjector is a replica-level fault injector for FleetConfig.Chaos;
@@ -792,6 +774,23 @@ func LearnOffline(base *Memory, examples []LearnExample, cfg LearnConfig) (*Memo
 // searcher, multi-centroid ones a class-level memory with clean labels and
 // a min-over-centroids searcher.
 func SnapshotModel(snap *Snapshot) (*Memory, Searcher, error) { return learn.Model(snap) }
+
+// SnapshotPipeline is SnapshotModel plus the language pipeline recorded in
+// the snapshot's config: the encoder rebuilt from its seed and n-gram order,
+// and the matching LanguageParams. Commands load the snapshot they start
+// serving through it, so a multi-centroid snapshot answers "german", never
+// "german#0", exactly as it does after a registry swap.
+func SnapshotPipeline(snap *Snapshot) (*Trained, Searcher, error) {
+	mem, s, err := SnapshotModel(snap)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := snap.Config()
+	p := DefaultLanguageParams()
+	p.Dim, p.NGram, p.Seed = cfg.Dim, cfg.NGram, cfg.Seed
+	p.TestPerLang = 1
+	return &Trained{Memory: mem, Encoder: SnapshotEncoderFactory(cfg)(), Params: p}, s, nil
+}
 
 // ServeLearningEngine exposes an engine plus an online learner over the
 // network: query frames hit the engine, learn frames (and POST /learn) feed

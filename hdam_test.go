@@ -2,6 +2,7 @@ package hdam
 
 import (
 	"bytes"
+	"context"
 	"math/rand/v2"
 	"testing"
 )
@@ -183,5 +184,78 @@ func TestFacadeBatchAndPersistence(t *testing.T) {
 	top := mem.TopK(queries[0], 2)
 	if len(top) != 2 || mem.Margin(queries[0]) != top[1].Distance-top[0].Distance {
 		t.Fatal("TopK/Margin broken through facade")
+	}
+}
+
+// TestSnapshotPipelineMultiCentroid loads a learner-written 2-centroid
+// snapshot the way hamserve and langid serve one: the pipeline holds the
+// 21 classes with clean labels, and an engine over it answers "german",
+// never "german#0".
+func TestSnapshotPipelineMultiCentroid(t *testing.T) {
+	langs := Languages()
+	lr, err := NewLearner(nil, LearnConfig{Dim: 2048, NGram: 3, Seed: 5, Dir: t.TempDir(), Centroids: 2, Block: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lr.Close()
+	rng := rand.New(rand.NewPCG(5, 5))
+	for _, l := range langs {
+		for i := 0; i < 40; i++ {
+			if err := lr.Ingest(context.Background(), l.Name, l.GenerateSentence(150, rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rep, err := lr.Reconcile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := OpenSnapshot(rep.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if snap.Config().Centroids != 2 || snap.Memory().Classes() != 2*len(langs) {
+		t.Fatalf("snapshot has %d rows at %d centroids, want %d at 2",
+			snap.Memory().Classes(), snap.Config().Centroids, 2*len(langs))
+	}
+
+	tr, s, err := SnapshotPipeline(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Memory.Classes() != len(langs) {
+		t.Fatalf("pipeline serves %d classes, want %d", tr.Memory.Classes(), len(langs))
+	}
+	names := make(map[string]bool, len(langs))
+	for _, l := range langs {
+		names[l.Name] = true
+	}
+	for _, label := range tr.Memory.Labels() {
+		if !names[label] {
+			t.Fatalf("pipeline label %q is not a language name", label)
+		}
+	}
+
+	eng, err := NewEngine(tr, s, ServeConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	correct := 0
+	for _, l := range langs {
+		resp, err := eng.Submit(context.Background(), l.GenerateSentence(150, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !names[resp.Label] {
+			t.Fatalf("engine answered %q, not a language name", resp.Label)
+		}
+		if resp.Label == l.Name {
+			correct++
+		}
+	}
+	if correct < len(langs)*3/4 {
+		t.Fatalf("engine over the 2-centroid pipeline classified %d/%d", correct, len(langs))
 	}
 }

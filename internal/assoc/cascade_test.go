@@ -197,26 +197,6 @@ func TestCascadeFullProtocol(t *testing.T) {
 	}
 }
 
-// TestCascadeSharded proves the cascade built over a sharded memory stays
-// bit-identical to the serial exact scan, including on the widen path (a
-// shortlist cap of 2 with margin-free random queries forces it).
-func TestCascadeSharded(t *testing.T) {
-	rng := rand.New(rand.NewPCG(2017, 0x54a2d))
-	mem := randomMemory(t, 10000, 21, rng)
-	sharded := mem.WithSharding(4)
-	defer sharded.Sharding().Close()
-	c, err := assoc.NewCascade(sharded, assoc.CascadeConfig{SliceWords: 8, SliceOffset: -1, MaxShortlist: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		checkIdentical(t, c, mem, hv.Random(10000, rng), "sharded")
-	}
-	if c.Stats().FullScans() == 0 {
-		t.Fatal("shortlist cap 2 on margin-free random queries should have widened at least once")
-	}
-}
-
 // TestCascadeConfigValidation pins the constructor's error surface.
 func TestCascadeConfigValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2017, 0xbad))

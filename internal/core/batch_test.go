@@ -211,3 +211,26 @@ func TestSearchAllWorkersPanicReachesCaller(t *testing.T) {
 		t.Fatalf("clean batch returned %d results", len(got))
 	}
 }
+
+func TestSearchAllWorkersMatchesSequential(t *testing.T) {
+	cs, ls := randClasses(9, 2000, 80)
+	m := MustMemory(cs, ls)
+	rng := rand.New(rand.NewPCG(91, 91))
+	queries := make([]*hv.Vector, 37)
+	for i := range queries {
+		queries[i] = hv.FlipBits(m.Class(i%9), 300, rng)
+	}
+	s := exactSearcher{m}
+	seq := SearchAllWorkers(s, queries, 1)
+	for _, workers := range []int{2, 4, 100} {
+		par := SearchAllWorkers(s, queries, workers)
+		for i := range seq {
+			if seq[i] != par[i] {
+				t.Fatalf("workers=%d query %d: %v vs %v", workers, i, par[i], seq[i])
+			}
+		}
+	}
+	if got := SearchAllWorkers(s, nil, 4); len(got) != 0 {
+		t.Fatal("empty batch")
+	}
+}

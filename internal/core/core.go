@@ -25,8 +25,7 @@ type Memory struct {
 	dim     int
 	classes []*hv.Vector
 	labels  []string
-	cm      *ClassMatrix   // packed row-major copy, the distance-kernel operand
-	sm      *ShardedMatrix // optional parallel kernel; nil means serial
+	cm      *ClassMatrix // packed row-major copy, the distance-kernel operand
 }
 
 // NewMemory builds an associative memory from class hypervectors and their
@@ -136,21 +135,6 @@ func (m *Memory) Labels() []string {
 // the distance kernels stream. Read-only.
 func (m *Memory) ClassMatrix() *ClassMatrix { return m.cm }
 
-// WithSharding returns a view of the memory whose distance kernels run on a
-// ShardedMatrix with the given shard count (<= 0 selects DefaultShards).
-// The view shares the stored classes with the receiver; only the kernel
-// routing differs, and sharded kernels are bit-identical to serial ones, so
-// every searcher built over the view classifies exactly as before — it just
-// uses the worker pool. Release the pool with Sharding().Close().
-func (m *Memory) WithSharding(shards int) *Memory {
-	v := *m
-	v.sm = NewShardedMatrix(m.cm, shards)
-	return &v
-}
-
-// Sharding returns the memory's sharded kernel, or nil for a serial memory.
-func (m *Memory) Sharding() *ShardedMatrix { return m.sm }
-
 // Distances computes the exact Hamming distance from q to every class, in
 // storage order. This is the ground truth all approximate designs are
 // judged against. Hot loops should use DistancesInto with a reused buffer.
@@ -165,20 +149,12 @@ func (m *Memory) Distances(q *hv.Vector) []int {
 // matrix.
 func (m *Memory) DistancesInto(dst []int, q *hv.Vector) {
 	m.checkQuery(q)
-	if m.sm != nil {
-		m.sm.DistancesInto(dst, q)
-		return
-	}
 	m.cm.DistancesInto(dst, q)
 }
 
 // DistancesBatchInto computes the distance matrix for a batch of queries
 // into dst, row-major by query (see ClassMatrix.DistancesBatchInto).
 func (m *Memory) DistancesBatchInto(dst []int, queries []*hv.Vector) {
-	if m.sm != nil {
-		m.sm.DistancesBatchInto(dst, queries)
-		return
-	}
 	m.cm.DistancesBatchInto(dst, queries)
 }
 
@@ -186,9 +162,6 @@ func (m *Memory) DistancesBatchInto(dst []int, queries []*hv.Vector) {
 // resolve to the lowest index, matching a deterministic comparator tree.
 func (m *Memory) Nearest(q *hv.Vector) (int, int) {
 	m.checkQuery(q)
-	if m.sm != nil {
-		return m.sm.Nearest(q)
-	}
 	return m.cm.Nearest(q)
 }
 

@@ -8,7 +8,7 @@ import "math/bits"
 // a build-time decision (see kernel_generic.go and kernel_amd64v3.go); both
 // produce bit-identical distances for every word count, so the choice is
 // invisible to everything above — DistancesInto, DistancesBatchInto, the
-// ShardedMatrix partials and the cascade all inherit it unchanged.
+// range partials of the fleet and the cascade all inherit it unchanged.
 //
 // Both kernels share two structural ideas. First, blocks are read through
 // slice-to-array-pointer conversions ((*[8]uint64)(row[w:])), which replaces

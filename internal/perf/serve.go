@@ -36,7 +36,6 @@ type ServeLoad struct {
 	MaxDelay time.Duration // batching delay window
 	Clients  int           // concurrent closed-loop clients
 	Requests int           // total requests across all clients
-	Shards   int           // distance-kernel shards (0 = serial kernel)
 }
 
 // DefaultServeLoads is the sweep make bench records: the serial baseline is
@@ -45,20 +44,14 @@ func DefaultServeLoads(requests int) []ServeLoad {
 	return []ServeLoad{
 		{Workers: 1, MaxBatch: 32, Clients: 1, Requests: requests},
 		{Workers: 1, MaxBatch: 32, Clients: 4, Requests: requests},
-		{Workers: 4, MaxBatch: 32, Clients: 16, Requests: requests, Shards: 4},
+		{Workers: 4, MaxBatch: 32, Clients: 16, Requests: requests},
 	}
 }
 
 // runServeLoad drives one closed-loop load point: Clients goroutines each
 // submit Requests/Clients texts back-to-back, recording per-request latency.
 func runServeLoad(f *fixtures, texts []string, load ServeLoad) (ServeResult, error) {
-	mem := f.mem
-	if load.Shards > 1 {
-		mem = mem.WithSharding(load.Shards)
-		defer mem.Sharding().Close()
-	}
-	newEnc := benchEncoderFactory()
-	eng, err := serve.New(mem, assoc.NewExact(mem), newEnc, serve.Config{
+	eng, err := serve.New(f.mem, assoc.NewExact(f.mem), benchEncoderFactory(), serve.Config{
 		Workers:  load.Workers,
 		MaxBatch: load.MaxBatch,
 		MaxDelay: load.MaxDelay,

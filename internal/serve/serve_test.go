@@ -115,32 +115,6 @@ func TestEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEngineShardedMemoryMatchesSerial drives the engine over a sharded
-// memory view: the full socket-shaped path (batching + worker pool + sharded
-// distance kernel) must still be bit-identical to the serial loop.
-func TestEngineShardedMemoryMatchesSerial(t *testing.T) {
-	f := buildFixture(t, 8, 32)
-	want := serialResponses(f, assoc.NewExact(f.mem), testSeed)
-	shmem := f.mem.WithSharding(4)
-	defer shmem.Sharding().Close()
-	eng, err := New(shmem, assoc.NewExact(shmem), f.newEnc, Config{
-		Workers: 2, MaxBatch: 4, MaxDelay: time.Millisecond, Seed: testSeed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for i, text := range f.texts {
-		resp, err := eng.Submit(context.Background(), text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Result != want[i].Result {
-			t.Fatalf("text %d: sharded engine %+v, serial %+v", i, resp.Result, want[i].Result)
-		}
-	}
-}
-
 func TestEngineMicroBatches(t *testing.T) {
 	f := buildFixture(t, 8, 16)
 	eng, err := New(f.mem, assoc.NewExact(f.mem), f.newEnc, Config{
